@@ -15,6 +15,7 @@ from ..core.instrumentation import MemoryReport
 from ..core.policy import ReplicationPolicy
 from ..machine.machine import Machine
 from ..machine.params import MachineParams
+from ..sim.resource import FifoResource
 from .ports import PortNamespace
 from .threads import ThreadManager
 from .vm import VirtualMemorySystem
@@ -50,6 +51,9 @@ class Kernel:
         self.vm = VirtualMemorySystem(self.coherent)
         self.threads = ThreadManager(machine, self.coherent)
         self.ports = PortNamespace(machine)
+        #: processor index -> the FIFO resource that serializes the
+        #: executor's threads on that processor (built on first use)
+        self.cpu_resources: dict[int, FifoResource] = {}
         self.kernel_aspace = None
         self.kernel_text = None
         self.kernel_data = None

@@ -3,7 +3,8 @@
 Ties together the event engine, memory modules, interconnect topology,
 per-processor MMUs, block-transfer engine and interrupt controller, and
 provides the single access-costing primitive every higher layer uses:
-:meth:`Machine.access`.
+:meth:`Machine.charge`, which :meth:`Machine.access` wraps in an
+:class:`AccessOutcome`.
 
 Cost model for a batched access of ``n`` words from node ``src`` to a frame
 in module ``dst`` (see DESIGN.md section 5):
@@ -57,8 +58,7 @@ class Machine:
         self.params = params.validated()
         self.engine = engine if engine is not None else Engine()
         # dataless machines share one word array across every frame: the
-        # trace replayer costs accesses without moving data, so it skips
-        # the (real-time dominant) per-frame allocations and zeroing
+        # trace replayer costs accesses without moving data
         shared = (
             np.zeros(self.params.words_per_page, dtype=WORD_DTYPE)
             if dataless
@@ -114,47 +114,67 @@ class Machine:
         """Cost a batched ``n_words``-word access; no data movement here."""
         if n_words <= 0:
             raise ValueError(f"access of {n_words} words")
-        p = self.params
         dst = frame.module_index
-        remote = src_node != dst
-        module = self.modules[dst]
-        t = now
-        if remote:
-            route = self.topology.route(src_node, dst)
-            n_hops = len(route)
-            for port in route:
-                _, t = port.occupy(t, n_words * p.t_switch_service)
-            t_word = p.t_remote_write if write else p.t_remote_read
-        else:
-            n_hops = 0
-            t_word = p.t_local
-        _, t = module.bus.occupy(t, n_words * p.t_module_service)
-        service_per_word = p.t_module_service + n_hops * p.t_switch_service
-        extra_per_word = t_word - service_per_word
-        if extra_per_word < 0.0:
-            extra_per_word = 0.0
-        completion = int(round(t + n_words * extra_per_word))
-        service_floor = now + int(round(n_words * service_per_word))
-        queue_delay = t - service_floor
-        if queue_delay < 0:
-            queue_delay = 0
-        # batched accounting: the whole contiguous run is one counter
-        # update here and one on the serving module, however many words
-        if remote:
-            self.remote_words[src_node] += n_words
-            if write:
-                self.remote_write_words[src_node] += n_words
-        else:
-            self.local_words[src_node] += n_words
-        self.queue_delay_ns[src_node] += queue_delay
-        module.words_served += n_words
-        module.accesses_served += 1
+        completion, queue_delay = self.charge(
+            src_node, dst, n_words, write, now
+        )
         return AccessOutcome(
             completion=completion,
             queue_delay=queue_delay,
-            remote=remote,
+            remote=src_node != dst,
             words=n_words,
         )
+
+    def charge(
+        self, src_node: int, dst: int, n_words: int, write: bool, now: int
+    ) -> tuple[int, int]:
+        """Cost ``n_words > 0`` words from node ``src_node`` to module
+        ``dst`` starting at ``now``: occupy the route and the bus, update
+        the word and queue counters.  Returns (completion, queue delay).
+
+        The one costing primitive: :meth:`access` wraps it, and the
+        executor's ATC-hit path calls it directly.
+        """
+        p = self.params
+        module = self.modules[dst]
+        t = now
+        if src_node == dst:
+            service = p.t_module_service
+            t_word = p.t_local
+            self.local_words[src_node] += n_words
+        else:
+            route = self.topology.route(src_node, dst)
+            for port in route:
+                _, t = port.occupy(t, n_words * p.t_switch_service)
+            service = p.t_module_service + len(route) * p.t_switch_service
+            self.remote_words[src_node] += n_words
+            if write:
+                t_word = p.t_remote_write
+                self.remote_write_words[src_node] += n_words
+            else:
+                t_word = p.t_remote_read
+        # FifoResource.occupy(t, n_words * t_module_service) inlined:
+        # this is the hottest call in a simulation
+        bus = module.bus
+        duration = int(round(n_words * p.t_module_service))
+        busy = bus.busy_until
+        start = t if t > busy else busy
+        bus.wait_time += start - t
+        t = start + duration
+        bus.busy_until = t
+        bus.busy_time += duration
+        bus.requests += 1
+        # the requester pays the per-word latency beyond the service
+        # times, so an idle machine gives exactly n * T_l or n * T_r
+        extra = t_word - service
+        completion = int(round(t + n_words * extra)) if extra > 0.0 else t
+        queue_delay = t - now - int(round(n_words * service))
+        if queue_delay < 0:
+            queue_delay = 0
+        self.queue_delay_ns[src_node] += queue_delay
+        module.words_served += n_words
+        module.accesses_served += 1
+        return completion, queue_delay
 
     def utilization_report(self) -> dict[str, float]:
         """Busy fractions of the memory-module buses and switch ports."""

@@ -30,15 +30,21 @@ class OutOfFramesError(MemoryError):
     """A memory module has no free page frames."""
 
 
+_INDEX_ONLY = (
+    "LazyList is index-only: its elements materialize on integer "
+    "indexing, so iteration and slicing would see unbuilt holes"
+)
+
+
 class LazyList(list):
     """A fixed-length list whose elements materialize on first access.
 
-    Dataless (replay) kernels create thousands of frame and
-    inverted-page-table entries per module but touch only the few a
-    given trace allocates; building them on demand makes kernel
-    construction O(pages used) instead of O(physical memory).  Only
-    indexed access materializes -- iteration sees ``None`` holes, so
-    this is reserved for structures accessed strictly by index.
+    Every kernel has thousands of frame and inverted-page-table entries
+    per module but touches only the few its workload allocates;
+    building them on demand makes machine construction O(pages used)
+    instead of O(physical memory).  Only an integer index materializes
+    an element, so iterating or slicing -- which would see ``None``
+    holes -- raises ``TypeError``.
     """
 
     __slots__ = ("_factory",)
@@ -48,11 +54,20 @@ class LazyList(list):
         self._factory = factory
 
     def __getitem__(self, index):
+        if isinstance(index, slice):
+            raise TypeError(_INDEX_ONLY)
         value = list.__getitem__(self, index)
         if value is None:
+            if index < 0:
+                index += len(self)
             value = self._factory(index)
             list.__setitem__(self, index, value)
         return value
+
+    def __iter__(self):
+        raise TypeError(_INDEX_ONLY)
+
+    __reversed__ = __iter__
 
 
 @dataclass(eq=False)
@@ -98,11 +113,11 @@ class Frame:
 class MemoryModule:
     """One node's memory: frames plus a FIFO bus resource for contention.
 
-    ``frame_data`` makes the module *dataless*: every frame shares the one
-    given word array and allocation skips zeroing.  Timing is unaffected
-    (data movement carries no simulated cost), but per-frame array
-    allocation -- the dominant real-time cost of building a kernel -- is
-    elided.  Used by the trace replayer, which never reads frame contents.
+    Frames are built lazily: a frame and its word array appear the first
+    time its index is used.  ``frame_data`` makes the module *dataless*:
+    every frame shares the one given word array and allocation skips
+    zeroing.  Timing is unaffected (data movement carries no simulated
+    cost).  Used by the trace replayer, which never reads frame contents.
     """
 
     def __init__(
@@ -115,16 +130,14 @@ class MemoryModule:
         self.params = params
         self.dataless = frame_data is not None
         words = params.words_per_page
-        if frame_data is not None:
-            self.frames: list[Frame] = LazyList(
-                params.frames_per_module,
-                lambda i: Frame(index, i, frame_data),
-            )
-        else:
-            self.frames = [
-                Frame(index, i, np.zeros(words, dtype=WORD_DTYPE))
-                for i in range(params.frames_per_module)
-            ]
+        self.frames: list[Frame] = LazyList(
+            params.frames_per_module,
+            lambda i: Frame(
+                index, i,
+                np.zeros(words, dtype=WORD_DTYPE) if frame_data is None
+                else frame_data,
+            ),
+        )
         self._free: list[int] = list(range(params.frames_per_module - 1, -1, -1))
         self.bus = FifoResource(f"module[{index}].bus")
         self.alloc_count = 0

@@ -12,11 +12,12 @@ exactly.  What is elided -- generator execution and data movement (the
 machine is built *dataless*) -- carries no simulated cost.
 
 Memory operations are pre-decoded into per-page ``(vpage, words)`` runs
-and the common case (ATC hit with sufficient rights) is costed inline
-with the same arithmetic as :meth:`Machine.access`; anything else falls
-back to a faithful mirror of the executor's translate/fault loop, so the
+and costed by the live executor's own :meth:`ThreadProcess._run`: the
+ATC-hit case through :meth:`Machine.charge`, the one costing function,
+and anything else through the real translate/fault loop, so the
 protocol path -- the thing being studied -- is always the real kernel
-code, never an approximation.
+code, never an approximation.  The machine differs from a live one only
+in that its frames share one word array.
 
 Replays under a *variant* (different policy, freeze window, latency
 constants) hold the recorded reference string fixed: spin iterations and
@@ -52,7 +53,7 @@ import numpy as np
 from ..analysis.costmodel import run_counters
 from ..core.instrumentation import MemoryReport
 from ..kernel.kernel import Kernel
-from ..machine.machine import AccessOutcome, Machine
+from ..machine.machine import Machine
 from ..machine.params import MachineParams
 from ..machine.pmap import Rights
 from ..runtime.executor import ThreadProcess, _cpu_resource
@@ -197,35 +198,13 @@ def _fast_arrays(decoded: list[tuple]) -> dict:
 class ReplayThreadProcess(ThreadProcess):
     """Drives one thread's decoded op stream instead of a generator."""
 
-    __slots__ = ("ops", "pos", "channels", "_wake", "_consts")
+    __slots__ = ("ops", "pos", "channels")
 
     def __init__(self, kernel, thread, cpu, decoded, channels) -> None:
         super().__init__(kernel, thread, None, cpu)
         self.ops = decoded
         self.pos = 0
         self.channels = channels
-        # one reusable callback instead of a fresh closure per op
-        self._wake = lambda: self._resume(None)
-        # immutable timing constants, hoisted out of the per-op path
-        p = kernel.params
-        self._consts = (
-            p.t_module_service, p.t_switch_service, p.t_local,
-            p.t_remote_read, p.t_remote_write,
-        )
-
-    def _commit(self, end, value=None) -> None:
-        # same arithmetic as ThreadProcess._commit, but the common
-        # value-less resume reuses the bound callback
-        engine = self.engine
-        now = engine.now
-        end = int(round(end if end > now else now))
-        cpu = self.cpu
-        if end > cpu.busy_until:
-            cpu.busy_until = end
-        engine.schedule_at(
-            end,
-            self._wake if value is None else (lambda: self._resume(value)),
-        )
 
     def _resume(self, value) -> None:
         # the generator is gone; step the cursor instead.  Fires, satisfied
@@ -234,8 +213,6 @@ class ReplayThreadProcess(ThreadProcess):
         try:
             ops = self.ops
             n = len(ops)
-            engine = self.engine
-            istate = self.kernel.machine.interrupts.state
             while True:
                 pos = self.pos
                 if pos >= n:
@@ -245,26 +222,10 @@ class ReplayThreadProcess(ThreadProcess):
                 self.pos = pos + 1
                 k = op[0]
                 if k == K_MEM:
-                    # ThreadProcess._begin inlined (same arithmetic)
-                    st = istate[self.thread.processor]
-                    penalty = st.pending_penalty
-                    st.pending_penalty = 0.0
-                    now = engine.now
-                    busy = self.cpu.busy_until
-                    t = int(round(
-                        (now if now > busy else busy) + penalty))
-                    t = self._mem(op[2], op[1], t)
-                    self._commit(t)
+                    self._commit(self._mem(op[2], op[1], self._begin()))
                     return
                 if k == K_THINK:
-                    st = istate[self.thread.processor]
-                    penalty = st.pending_penalty
-                    st.pending_penalty = 0.0
-                    now = engine.now
-                    busy = self.cpu.busy_until
-                    start = int(round(
-                        (now if now > busy else busy) + penalty))
-                    self._commit(start + op[1])
+                    self._commit(int(round(self._begin() + op[1])))
                     return
                 if k == K_FIRE:
                     self.channels[op[1]].fire()
@@ -284,145 +245,18 @@ class ReplayThreadProcess(ThreadProcess):
                     start = self._begin()
                     cost = self.kernel.threads.migrate(self.thread, op[1])
                     self.cpu = _cpu_resource(self.kernel, op[1])
-                    self._commit(start + cost)
+                    self._commit(int(round(start + cost)))
                     return
                 raise ReplayError(f"unknown decoded op {op!r}")
         except Exception as exc:  # noqa: BLE001 - recorded, like a crash
             self._finish(error=exc)
 
     def _mem(self, runs, write: bool, t: int) -> int:
-        """Cost one memory op's per-page runs starting at time ``t``.
-
-        The ATC-hit case inlines ``MMU.translate`` + ``Machine.access``
-        (same arithmetic, same counter updates); everything else takes
-        the faithful slow path.  Counter equivalence holds because the
-        fast path touches the ATC only on a sufficient-rights hit --
-        any other case falls through to ``translate``'s single
-        authoritative lookup, exactly as the live executor does.
-        """
-        kernel = self.kernel
-        machine = kernel.machine
-        coherent = kernel.coherent
-        proc = self.thread.processor
-        aspace_id = self.thread.aspace_id
-        atc = machine.mmus[proc].atc
-        entries = atc._entries
-        move_to_end = entries.move_to_end
-        modules = machine.modules
-        t_module, t_switch, t_local, t_rread, t_rwrite = self._consts
-        probe = coherent.access_probe
-        refcount = coherent.reference_counting
-        queue_delay_ns = machine.queue_delay_ns
+        """Cost one memory op's per-page runs starting at time ``t``."""
+        run = self._run
         for vpage, n in runs:
-            key = (aspace_id, vpage)
-            entry = entries.get(key)
-            # rights check via plain int comparison (Rights values are
-            # only ever NONE=0, READ=1, WRITE=3; IntFlag.__and__ is slow)
-            if entry is None or not (
-                entry.rights == 3 or (entry.rights == 1 and not write)
-            ):
-                t = self._run_slow(vpage, n, write, t)
-                continue
-            move_to_end(key)
-            atc.hits += 1
-            entry.referenced = True
-            if write:
-                entry.modified = True
-            dst = entry.frame.module_index
-            module = modules[dst]
-            remote = proc != dst
-            tt = t
-            if remote:
-                route = machine.topology.route(proc, dst)
-                n_hops = len(route)
-                for port in route:
-                    _, tt = port.occupy(tt, n * t_switch)
-                t_word = t_rwrite if write else t_rread
-                service_per_word = t_module + n_hops * t_switch
-            else:
-                t_word = t_local
-                service_per_word = t_module
-            # FifoResource.occupy(tt, n * t_module) inlined
-            bus = module.bus
-            duration = int(round(n * t_module))
-            busy = bus.busy_until
-            start = tt if tt > busy else busy
-            bus.wait_time += start - tt
-            tt = start + duration
-            bus.busy_until = tt
-            bus.busy_time += duration
-            bus.requests += 1
-            extra = t_word - service_per_word
-            if extra < 0.0:
-                extra = 0.0
-            completion = int(round(tt + n * extra))
-            service_floor = t + int(round(n * service_per_word))
-            queue_delay = tt - service_floor
-            if queue_delay < 0:
-                queue_delay = 0
-            if remote:
-                machine.remote_words[proc] += n
-                if write:
-                    machine.remote_write_words[proc] += n
-            else:
-                machine.local_words[proc] += n
-            queue_delay_ns[proc] += queue_delay
-            module.words_served += n
-            module.accesses_served += 1
-            cpage_index = entry.cpage_index
-            if remote and refcount and cpage_index is not None:
-                coherent.note_remote_access(cpage_index, proc, n)
-            if probe is not None and cpage_index is not None:
-                probe.note(
-                    cpage_index,
-                    proc,
-                    write,
-                    AccessOutcome(
-                        completion=completion,
-                        queue_delay=queue_delay,
-                        remote=remote,
-                        words=n,
-                    ),
-                )
-            t = completion
+            t = run(vpage, n, write, t)[0]
         return t
-
-    def _run_slow(self, vpage: int, n: int, write: bool, t: int) -> int:
-        """``ThreadProcess._access_run`` minus the data slice."""
-        kernel = self.kernel
-        machine = kernel.machine
-        proc = self.thread.processor
-        mmu = machine.mmus[proc]
-        aspace_id = self.thread.aspace_id
-        for _attempt in range(3):
-            result = mmu.translate(aspace_id, vpage, write)
-            t += int(round(result.cost))
-            if result.entry is not None:
-                outcome = machine.access(
-                    proc, result.entry.frame, n, write, t
-                )
-                if (
-                    outcome.remote
-                    and kernel.coherent.reference_counting
-                    and result.entry.cpage_index is not None
-                ):
-                    kernel.coherent.note_remote_access(
-                        result.entry.cpage_index, proc, n
-                    )
-                probe = kernel.coherent.access_probe
-                if probe is not None and (
-                    result.entry.cpage_index is not None
-                ):
-                    probe.note(
-                        result.entry.cpage_index, proc, write, outcome
-                    )
-                return outcome.completion
-            fault = kernel.fault(proc, aspace_id, vpage, write, t)
-            t = fault.completion
-        raise ReplayError(
-            f"cpu{proc} could not obtain a translation for vpage {vpage} "
-            f"(aspace {aspace_id}, write={write}) after repeated faults"
-        )
 
 
 class FastReplayThreadProcess(ReplayThreadProcess):
@@ -478,16 +312,16 @@ class FastReplayThreadProcess(ReplayThreadProcess):
         self._nso = fast["nso"]
         self._mcum = fast["mcum"]
         self._wcum = fast["wcum"]
-        t_module, t_switch, t_local, t_rr, t_rw = self._consts
-        self._t_module = t_module
-        self._t_switch = t_switch
+        p = kernel.params
+        self._t_module = t_module = p.t_module_service
+        self._t_switch = t_switch = p.t_switch_service
         rint = np.rint
         nn = self._nn
         mem = fast["mem"]
         # variant-params-dependent slot costs, one vector pass each
         self._rns = rint(nn * t_switch)
         self._rnm = np.where(mem, rint(nn * t_module), 0.0)
-        extra_local = t_local - t_module
+        extra_local = p.t_local - t_module
         if extra_local < 0.0:
             extra_local = 0.0
         dur_local = self._rnm + np.where(
@@ -498,7 +332,7 @@ class FastReplayThreadProcess(ReplayThreadProcess):
         zero = np.zeros(1)
         self._dbc = np.concatenate([zero, np.cumsum(self._dur_base)])
         self._rnmc = np.concatenate([zero, np.cumsum(self._rnm)])
-        self._tword = np.where(self._wr, t_rw, t_rr)
+        self._tword = np.where(self._wr, p.t_remote_write, p.t_remote_read)
         self._shared = shared
         self._sibs = sibs
         self._epoch = -1  # forces the initial full rebuild
@@ -517,12 +351,12 @@ class FastReplayThreadProcess(ReplayThreadProcess):
         self.batched_ops = 0
         self.windows = 0
 
-    def _run_slow(self, vpage: int, n: int, write: bool, t: int) -> int:
-        t = super()._run_slow(vpage, n, write, t)
+    def _run_slow(self, vpage: int, n: int, write: bool, t: int):
+        found = super()._run_slow(vpage, n, write, t)
         # the fault mutated mappings machine-wide, but only for the
         # faulted page's cpage: dirty its sibling vpages everywhere
         self._shared["dirty"].extend(self._sibs.get(vpage, (vpage,)))
-        return t
+        return found
 
     def _full_rebuild(self) -> None:
         shared = self._shared
@@ -645,23 +479,11 @@ class FastReplayThreadProcess(ReplayThreadProcess):
                 machine.remote_words[proc] += int(rw)
                 machine.remote_write_words[proc] += int(rww)
         machine.local_words[proc] += int(lw)
-        # _begin/_commit arithmetic, once per window
-        st = machine.interrupts.state[proc]
-        penalty = st.pending_penalty
-        st.pending_penalty = 0.0
-        engine = self.engine
-        now = engine.now
-        busy_until = self.cpu.busy_until
-        t0 = int(round(
-            (now if now > busy_until else busy_until) + penalty
-        ))
-        end = t0 + int(round(float(total)))
         self.pos = stop
-        if end > self.cpu.busy_until:
-            self.cpu.busy_until = end
         self.windows += 1
         self.batched_ops += stop - pos
-        engine.schedule_at(end, self._wake)
+        # one _begin/_commit per window
+        self._commit(self._begin() + int(round(float(total))))
         return True
 
     def _flush_counters(self) -> None:
@@ -687,8 +509,6 @@ class FastReplayThreadProcess(ReplayThreadProcess):
             ops = self.ops
             n = len(ops)
             kind = self._kind
-            engine = self.engine
-            istate = self.kernel.machine.interrupts.state
             while True:
                 pos = self.pos
                 if pos >= n:
@@ -700,25 +520,10 @@ class FastReplayThreadProcess(ReplayThreadProcess):
                 self.pos = pos + 1
                 k = op[0]
                 if k == K_MEM:
-                    st = istate[self.thread.processor]
-                    penalty = st.pending_penalty
-                    st.pending_penalty = 0.0
-                    now = engine.now
-                    busy = self.cpu.busy_until
-                    t = int(round(
-                        (now if now > busy else busy) + penalty))
-                    t = self._mem(op[2], op[1], t)
-                    self._commit(t)
+                    self._commit(self._mem(op[2], op[1], self._begin()))
                     return
                 if k == K_THINK:
-                    st = istate[self.thread.processor]
-                    penalty = st.pending_penalty
-                    st.pending_penalty = 0.0
-                    now = engine.now
-                    busy = self.cpu.busy_until
-                    start = int(round(
-                        (now if now > busy else busy) + penalty))
-                    self._commit(start + op[1])
+                    self._commit(int(round(self._begin() + op[1])))
                     return
                 if k == K_FIRE:
                     self.channels[op[1]].fire()
@@ -732,7 +537,7 @@ class FastReplayThreadProcess(ReplayThreadProcess):
                 if k == K_GETTIME:
                     continue
                 if k == K_DELAY:
-                    engine.schedule(op[1], self._wake)
+                    self.engine.schedule(op[1], self._wake)
                     return
                 if k == K_MIGRATE:
                     start = self._begin()
@@ -740,7 +545,7 @@ class FastReplayThreadProcess(ReplayThreadProcess):
                         self.thread, op[1])
                     self.cpu = _cpu_resource(self.kernel, op[1])
                     self._epoch = -1  # new cpu, new pmap: rebuild mirror
-                    self._commit(start + cost)
+                    self._commit(int(round(start + cost)))
                     return
                 raise ReplayError(f"unknown decoded op {op!r}")
         except Exception as exc:  # noqa: BLE001 - recorded, like a crash
@@ -1030,8 +835,7 @@ def replay_trace(
         if events_since_check[0] & 63:
             return False
         busy = max(
-            (c.busy_until for c in getattr(
-                kernel, "_cpu_resources", {}).values()),
+            (c.busy_until for c in kernel.cpu_resources.values()),
             default=0,
         )
         if busy > last_activity[0]:

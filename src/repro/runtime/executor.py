@@ -3,10 +3,13 @@
 One :class:`ThreadProcess` runs each kernel thread.  It translates the
 operations of ``runtime.ops`` into machine and kernel activity:
 
-* memory operations are split into per-page runs; each run is translated
-  by the processor's MMU, faults into the PLATINUM fault path if needed,
-  and is then costed through the machine's contention model while the real
-  data moves between the simulated page frames;
+* memory operations are split into per-page runs.  A run whose page sits
+  in the processor's ATC with sufficient rights -- the common case --
+  costs one dictionary lookup, a plain-int rights check and one
+  :meth:`Machine.charge`, as the MC68851 charges nothing beyond the
+  memory reference.  Anything else takes the real ``MMU.translate`` ->
+  PLATINUM fault -> retry loop and :meth:`Machine.access`.  Either way
+  the real data moves between the simulated page frames;
 * the entire chain of a memory operation is computed in a single
   simulation event -- shared resources are reserved into the future (see
   ``repro.sim.resource``) -- and the generator resumes when the final
@@ -14,6 +17,9 @@ operations of ``runtime.ops`` into machine and kernel activity:
 * a per-processor ``cpu`` resource serializes threads that share a
   processor, and interprocessor-interrupt penalties accumulated by
   shootdowns are paid at the start of the next operation.
+
+The trace replayer's threads subclass :class:`ThreadProcess` and cost
+their runs through the same :meth:`ThreadProcess._run`.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ import numpy as np
 
 from ..kernel.kernel import Kernel
 from ..kernel.threads import Thread
-from ..machine.memory import WORD_DTYPE
+from ..machine.machine import AccessOutcome
+from ..machine.memory import WORD_DTYPE, Frame
+from ..machine.pmap import PmapEntry
 from ..sim.process import Delay, Op, Process, WaitFor
 from ..sim.resource import FifoResource
 from . import ops
@@ -37,7 +45,7 @@ class ExecutionError(RuntimeError):
 class ThreadProcess(Process):
     """Runs one user thread's generator in simulated time."""
 
-    __slots__ = ("kernel", "thread", "cpu")
+    __slots__ = ("kernel", "thread", "cpu", "_wake", "_wpp")
 
     def __init__(
         self,
@@ -50,36 +58,19 @@ class ThreadProcess(Process):
         self.kernel = kernel
         self.thread = thread
         self.cpu = cpu
+        # one reusable callback for every value-less resume
+        self._wake = lambda: self._resume(None)
+        self._wpp = kernel.params.words_per_page
         self.on_finish(lambda _p: self.kernel.threads.exit(self.thread))
 
     # -- operation dispatch -------------------------------------------------
 
-    def interpret(self, op: Op) -> None:  # noqa: C901 - a dispatcher
+    def interpret(self, op: Op) -> None:
         try:
-            if isinstance(op, ops.Compute):
-                self._do_compute(op)
-            elif isinstance(op, ops.Read):
-                self._do_read(op)
-            elif isinstance(op, ops.Write):
-                self._do_write(op)
-            elif isinstance(op, ops.TestAndSet):
-                self._do_test_and_set(op)
-            elif isinstance(op, ops.FetchAdd):
-                self._do_fetch_add(op)
-            elif isinstance(op, ops.Migrate):
-                self._do_migrate(op)
-            elif isinstance(op, ops.SendPort):
-                self._do_send(op)
-            elif isinstance(op, ops.RecvPort):
-                self._do_recv(op)
-            elif isinstance(op, ops.WaitNewer):
-                self._do_wait_newer(op)
-            elif isinstance(op, ops.GetTime):
-                self._resume(self.engine.now)
-            elif isinstance(op, (Delay, WaitFor)):
-                super().interpret(op)
-            else:
-                raise ExecutionError(f"unsupported operation {op!r}")
+            handler = _HANDLERS.get(type(op))
+            if handler is None:
+                handler = _handler_for(op)
+            handler(self, op)
         except Exception as exc:  # noqa: BLE001 - becomes a thread crash
             # any executor or kernel error (protection fault, wild access,
             # out of memory) kills the simulated thread, not the engine
@@ -89,19 +80,31 @@ class ThreadProcess(Process):
 
     def _begin(self) -> int:
         """Start time of the next op: after CPU availability and any
-        pending interrupt penalty."""
+        pending interrupt penalty (which it collects)."""
+        st = self.kernel.machine.interrupts.state[self.thread.processor]
+        penalty = st.pending_penalty
         now = self.engine.now
-        penalty = self.kernel.machine.interrupts.collect_penalty(
-            self.thread.processor
-        )
-        return int(round(max(now, self.cpu.busy_until) + penalty))
+        busy = self.cpu.busy_until
+        start = now if now > busy else busy
+        if penalty:
+            st.pending_penalty = 0.0
+            start = int(round(start + penalty))
+        return start
 
-    def _commit(self, end: float, value: Any = None) -> None:
-        """Occupy the CPU until ``end`` and resume the generator then."""
-        end = int(round(max(end, self.engine.now)))
-        if end > self.cpu.busy_until:
-            self.cpu.busy_until = end
-        self.engine.schedule_at(end, lambda: self._resume(value))
+    def _commit(self, end: int, value: Any = None) -> None:
+        """Occupy the CPU until integral time ``end`` (or now, if that
+        is later) and resume the generator then."""
+        engine = self.engine
+        now = engine.now
+        if end < now:
+            end = now
+        cpu = self.cpu
+        if end > cpu.busy_until:
+            cpu.busy_until = end
+        engine.schedule_at(
+            end,
+            self._wake if value is None else (lambda: self._resume(value)),
+        )
 
     # -- compute -----------------------------------------------------------------
 
@@ -109,71 +112,97 @@ class ThreadProcess(Process):
         if op.ns < 0:
             raise ExecutionError(f"negative compute time {op.ns}")
         start = self._begin()
-        self._commit(start + op.ns)
+        self._commit(int(round(start + op.ns)))
 
     # -- memory access -------------------------------------------------------------
 
-    def _access_run(
-        self, va: int, n: int, write: bool, t: int
-    ) -> tuple[int, np.ndarray]:
-        """Translate-and-access one within-page run starting at time ``t``.
+    def _run(
+        self, vpage: int, n: int, write: bool, t: int
+    ) -> tuple[int, Frame]:
+        """Translate and cost one ``n``-word run on ``vpage`` at time
+        ``t``.  Returns (completion time, frame holding the page).
 
-        Returns (completion_time, view-of-frame-data).  The view is live
-        frame data: callers read from or write into it at event time.
+        An ATC hit with sufficient rights is handled here: the same LRU
+        touch, hit count and reference/modify bits as ``MMU.translate``,
+        then :meth:`Machine.charge`.  Everything else goes through
+        :meth:`_run_slow`.
         """
         machine = self.kernel.machine
         proc = self.thread.processor
-        wpp = machine.params.words_per_page
-        vpage, offset = divmod(va, wpp)
-        if offset + n > wpp:
-            raise ExecutionError("access run crosses a page boundary")
+        atc = machine.mmus[proc].atc
+        entries = atc._entries
+        key = (self.thread.aspace_id, vpage)
+        entry = entries.get(key)
+        # Rights are only NONE=0, READ=1, WRITE=3 (which includes READ)
+        if entry is not None and (
+            entry.rights == 3 or (entry.rights == 1 and not write)
+        ):
+            entries.move_to_end(key)
+            atc.hits += 1
+            entry.referenced = True
+            if write:
+                entry.modified = True
+            t, queue_delay = machine.charge(
+                proc, entry.frame.module_index, n, write, t
+            )
+        else:
+            entry, outcome = self._run_slow(vpage, n, write, t)
+            t = outcome.completion
+            queue_delay = outcome.queue_delay
+        cpage_index = entry.cpage_index
+        if cpage_index is not None:
+            coherent = self.kernel.coherent
+            remote = entry.frame.module_index != proc
+            if remote and coherent.reference_counting:
+                coherent.note_remote_access(cpage_index, proc, n)
+            probe = coherent.access_probe
+            if probe is not None:
+                probe.note(
+                    cpage_index, proc, write,
+                    AccessOutcome(t, queue_delay, remote, n),
+                )
+        return t, entry.frame
+
+    def _run_slow(
+        self, vpage: int, n: int, write: bool, t: int
+    ) -> tuple[PmapEntry, AccessOutcome]:
+        """:meth:`_run` on an ATC miss or rights fault: ``MMU.translate``,
+        faulting into the PLATINUM fault path and retrying until the
+        translation holds, then :meth:`Machine.access`."""
+        kernel = self.kernel
+        machine = kernel.machine
+        proc = self.thread.processor
         mmu = machine.mmus[proc]
         aspace_id = self.thread.aspace_id
         for _attempt in range(3):
             result = mmu.translate(aspace_id, vpage, write)
             t += int(round(result.cost))
-            if result.entry is not None:
-                outcome = machine.access(
-                    proc, result.entry.frame, n, write, t
-                )
-                if (
-                    outcome.remote
-                    and self.kernel.coherent.reference_counting
-                    and result.entry.cpage_index is not None
-                ):
-                    self.kernel.coherent.note_remote_access(
-                        result.entry.cpage_index, proc, n
-                    )
-                probe = self.kernel.coherent.access_probe
-                if probe is not None and (
-                    result.entry.cpage_index is not None
-                ):
-                    probe.note(
-                        result.entry.cpage_index, proc, write, outcome
-                    )
-                data = result.entry.frame.data[offset: offset + n]
-                return outcome.completion, data
-            fault = self.kernel.fault(proc, aspace_id, vpage, write, t)
+            entry = result.entry
+            if entry is not None:
+                return entry, machine.access(proc, entry.frame, n, write, t)
+            fault = kernel.fault(proc, aspace_id, vpage, write, t)
             t = fault.completion
         raise ExecutionError(
             f"cpu{proc} could not obtain a translation for vpage {vpage} "
             f"(aspace {aspace_id}, write={write}) after repeated faults"
         )
 
-    def _split_runs(self, va: int, n: int) -> list[tuple[int, int]]:
+    def _split_runs(self, va: int, n: int) -> list[tuple[int, int, int]]:
+        """``[va, va + n)`` as within-page (vpage, offset, words) runs."""
         if n <= 0:
             raise ExecutionError(f"access of {n} words at va {va}")
         if va < 0:
             raise ExecutionError(f"negative address {va}")
-        wpp = self.kernel.machine.params.words_per_page
-        if va % wpp + n <= wpp:
-            return [(va, n)]
+        wpp = self._wpp
+        vpage, offset = divmod(va, wpp)
+        if offset + n <= wpp:
+            return [(vpage, offset, n)]
         runs = []
         while n > 0:
-            offset = va % wpp
             take = min(n, wpp - offset)
-            runs.append((va, take))
-            va += take
+            runs.append((vpage, offset, take))
+            vpage += 1
+            offset = 0
             n -= take
         return runs
 
@@ -181,14 +210,15 @@ class ThreadProcess(Process):
         t = self._begin()
         runs = self._split_runs(op.va, op.n)
         if len(runs) == 1:
-            t, data = self._access_run(op.va, op.n, write=False, t=t)
-            self._commit(t, data.copy())
+            vpage, offset, n = runs[0]
+            t, frame = self._run(vpage, n, False, t)
+            self._commit(t, frame.data[offset: offset + n].copy())
             return
         out = np.empty(op.n, dtype=WORD_DTYPE)
         pos = 0
-        for va, take in runs:
-            t, data = self._access_run(va, take, write=False, t=t)
-            out[pos: pos + take] = data
+        for vpage, offset, take in runs:
+            t, frame = self._run(vpage, take, False, t)
+            out[pos: pos + take] = frame.data[offset: offset + take]
             pos += take
         self._commit(t, out)
 
@@ -198,26 +228,30 @@ class ThreadProcess(Process):
             values = np.full(1, op.value, dtype=WORD_DTYPE)
         else:
             values = np.asarray(op.value, dtype=WORD_DTYPE)
-        n = len(values)
         pos = 0
-        for va, take in self._split_runs(op.va, n):
-            t, data = self._access_run(va, take, write=True, t=t)
-            data[:] = values[pos: pos + take]
+        for vpage, offset, take in self._split_runs(op.va, len(values)):
+            t, frame = self._run(vpage, take, True, t)
+            frame.data[offset: offset + take] = values[pos: pos + take]
             pos += take
         self._commit(t)
 
-    def _do_test_and_set(self, op: ops.TestAndSet) -> None:
+    def _rmw_word(self, va: int) -> tuple[int, np.ndarray, int]:
+        """Begin an atomic one-word op: (completion, frame data, offset)."""
         t = self._begin()
-        t, data = self._access_run(op.va, 1, write=True, t=t)
-        old = int(data[0])
-        data[0] = op.value
+        vpage, offset = divmod(va, self._wpp)
+        t, frame = self._run(vpage, 1, True, t)
+        return t, frame.data, offset
+
+    def _do_test_and_set(self, op: ops.TestAndSet) -> None:
+        t, data, i = self._rmw_word(op.va)
+        old = int(data[i])
+        data[i] = op.value
         self._commit(t, old)
 
     def _do_fetch_add(self, op: ops.FetchAdd) -> None:
-        t = self._begin()
-        t, data = self._access_run(op.va, 1, write=True, t=t)
-        data[0] += op.delta
-        self._commit(t, int(data[0]))
+        t, data, i = self._rmw_word(op.va)
+        data[i] += op.delta
+        self._commit(t, int(data[i]))
 
     # -- thread migration --------------------------------------------------------------
 
@@ -225,9 +259,8 @@ class ThreadProcess(Process):
         start = self._begin()
         cost = self.kernel.threads.migrate(self.thread, op.processor)
         # after migration the thread competes for the new processor
-        runner = self  # clarity: the cpu resource must follow the thread
-        runner.cpu = _cpu_resource(self.kernel, op.processor)
-        self._commit(start + cost)
+        self.cpu = _cpu_resource(self.kernel, op.processor)
+        self._commit(int(round(start + cost)))
 
     # -- ports -------------------------------------------------------------------------
 
@@ -256,15 +289,41 @@ class ThreadProcess(Process):
             return
         op.channel.event.wait(self._resume)
 
+    def _do_get_time(self, _op: ops.GetTime) -> None:
+        self._resume(self.engine.now)
 
-#: per-kernel cache of cpu resources, keyed by processor index
+
+#: op type -> handler; ``interpret`` dispatches on the exact type and
+#: falls back to ``isinstance`` (``_handler_for``) for op subclasses
+_HANDLERS = {
+    ops.Compute: ThreadProcess._do_compute,
+    ops.Read: ThreadProcess._do_read,
+    ops.Write: ThreadProcess._do_write,
+    ops.TestAndSet: ThreadProcess._do_test_and_set,
+    ops.FetchAdd: ThreadProcess._do_fetch_add,
+    ops.Migrate: ThreadProcess._do_migrate,
+    ops.SendPort: ThreadProcess._do_send,
+    ops.RecvPort: ThreadProcess._do_recv,
+    ops.WaitNewer: ThreadProcess._do_wait_newer,
+    ops.GetTime: ThreadProcess._do_get_time,
+    Delay: Process.interpret,
+    WaitFor: Process.interpret,
+}
+
+
+def _handler_for(op: Op):
+    for op_type, handler in _HANDLERS.items():
+        if isinstance(op, op_type):
+            return handler
+    raise ExecutionError(f"unsupported operation {op!r}")
+
+
 def _cpu_resource(kernel: Kernel, processor: int) -> FifoResource:
-    cache = getattr(kernel, "_cpu_resources", None)
-    if cache is None:
-        cache = {}
-        kernel._cpu_resources = cache  # type: ignore[attr-defined]
-    res = cache.get(processor)
+    """The resource serializing threads on ``processor``, built on
+    first use and kept in ``kernel.cpu_resources``."""
+    res = kernel.cpu_resources.get(processor)
     if res is None:
-        res = FifoResource(f"cpu[{processor}]")
-        cache[processor] = res
+        res = kernel.cpu_resources[processor] = FifoResource(
+            f"cpu[{processor}]"
+        )
     return res

@@ -96,8 +96,7 @@ def run_program(
         if events_since_check[0] & 63:
             return False
         busy = max(
-            (c.busy_until for c in getattr(
-                kernel, "_cpu_resources", {}).values()),
+            (c.busy_until for c in kernel.cpu_resources.values()),
             default=0,
         )
         if busy > last_activity[0]:

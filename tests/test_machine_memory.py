@@ -80,3 +80,60 @@ def test_bus_occupancy(module):
     assert (start, end) == (0, 1000)
     start2, _ = module.occupy_bus(500, 100)
     assert start2 == 1000  # queued behind the first
+
+
+# -- lazily built frames ---------------------------------------------------------
+
+
+def _built(lazy) -> int:
+    """Elements a LazyList has materialized (read without building)."""
+    return sum(x is not None for x in list.__iter__(lazy))
+
+
+def test_machine_build_materializes_no_frames():
+    from repro.machine import Machine
+
+    machine = Machine(MachineParams(n_processors=16))
+    for module, ipt in zip(machine.modules, machine.ipts):
+        assert _built(module.frames) == 0
+        assert _built(ipt._entries) == 0
+        assert module.n_free == len(module.frames)
+
+
+def test_reallocated_frame_reads_back_zeros(module):
+    frame = module.allocate()
+    frame.data[:] = 7
+    module.release(frame)
+    again = module.allocate()
+    assert again is frame  # the free list is LIFO
+    assert np.all(again.data == 0)
+
+
+def test_frames_get_their_own_arrays(module):
+    a, b = module.allocate(), module.allocate()
+    a.data[0] = 1
+    assert b.data[0] == 0
+
+
+def test_small_gauss_materializes_only_frames_it_uses():
+    from repro.runtime.run import make_kernel, run_program
+    from repro.workloads.gauss import GaussianElimination
+
+    kernel = make_kernel(16)
+    run_program(kernel, GaussianElimination(n=32))
+    modules = kernel.machine.modules
+    built = sum(_built(m.frames) for m in modules)
+    assert 0 < built <= sum(m.alloc_count for m in modules)
+    assert built < len(modules) * modules[0].params.frames_per_module // 20
+
+
+def test_lazy_list_is_index_only():
+    from repro.machine.memory import LazyList
+
+    lazy = LazyList(4, lambda i: i * 10)
+    assert lazy[2] == 20
+    assert lazy[-1] == 30  # negative indices build the right element
+    assert _built(lazy) == 2
+    for misuse in (iter, list, reversed, lambda x: x[1:3]):
+        with pytest.raises(TypeError, match="index-only"):
+            misuse(lazy)
